@@ -49,6 +49,7 @@ import (
 	"errors"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	servecore "repro/internal/serve"
@@ -100,6 +101,8 @@ type Server struct {
 	blobs    map[blobKey]*blobEntry
 	order    *list.List // LRU: front = most recent; values are blobKey
 	capacity int
+
+	cached atomic.Pointer[manifestDoc] // manifest document; see manifest
 }
 
 // view resolves the source this request is served from — a stable
@@ -144,11 +147,15 @@ type blobEntry struct {
 type Option func(*Server)
 
 // WithBlobCache bounds the snapshot blob LRU cache to n documents
-// (default 256). Each entry holds one compressed document (plus, on
+// (default 64). Each entry holds one compressed document (plus, on
 // the encode path, a reference to its decoded list), so the bound is
 // what keeps a daemon serving a huge archive from growing to the
 // archive's full size; size it to the working set remote readers
-// actually sweep.
+// actually sweep. The default follows the clients this repo ships: a
+// mirror and a collector re-read only the newest day's snapshots, while
+// a bootstrap copy reads each slot once, so a cache larger than the
+// recent days buys no hits and only holds resident copies. 64 entries
+// is three weeks of three providers.
 func WithBlobCache(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -184,7 +191,7 @@ func NewServer(src toplist.Source, opts ...Option) *Server {
 		src:      src,
 		blobs:    make(map[blobKey]*blobEntry),
 		order:    list.New(),
-		capacity: 256,
+		capacity: 64,
 	}
 	for _, o := range opts {
 		o(s)
@@ -202,13 +209,44 @@ func NewServer(src toplist.Source, opts ...Option) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Manifest returns the wire manifest the server currently publishes.
-// It is rebuilt per call, so a served archive that is still growing
-// (ExtendTo, live publication) reports its current range. The range is
-// read once, so the document is self-consistent even when an Advance
-// or ExtendTo lands mid-build.
-func (s *Server) Manifest() toplist.RemoteManifest {
+// generationer is implemented by sources whose wire-visible state can
+// only change together with a counter (toplist.DiskStore moves it on
+// every manifest flush; pack.Pack, being immutable, never moves it).
+// It is what lets the server build the manifest document once per
+// archive state instead of once per request.
+type generationer interface {
+	Generation() uint64
+}
+
+// manifestDoc is one encoded wire manifest: the JSON body and its
+// content-hash ETag, plus — when cached — the source and generation it
+// was built from.
+type manifestDoc struct {
+	src  toplist.Source
+	gen  uint64
+	body []byte
+	etag string
+}
+
+// manifest returns the wire manifest document for the current archive
+// state. Sources with a generation are served from a document cached
+// per (source, generation): the generation is read before building, so
+// a document built while a write landed carries the older generation
+// and the next request rebuilds it. Other sources (in-memory archives,
+// gatekept live views whose Last moves with Advance) are rebuilt per
+// call, so a still-growing archive always reports its current range.
+// The range is read once per build, so the document is self-consistent
+// even when an Advance or ExtendTo lands mid-build.
+func (s *Server) manifest() (*manifestDoc, error) {
 	src, _ := s.view()
+	g, cacheable := src.(generationer)
+	var gen uint64
+	if cacheable {
+		gen = g.Generation()
+		if doc := s.cached.Load(); doc != nil && doc.src == src && doc.gen == gen {
+			return doc, nil
+		}
+	}
 	first, last := src.First(), src.Last()
 	man := toplist.RemoteManifest{
 		Version:   toplist.RemoteAPIVersion,
@@ -226,16 +264,27 @@ func (s *Server) Manifest() toplist.RemoteManifest {
 	if man.Providers == nil {
 		man.Providers = []string{}
 	}
-	return man
+	body, err := json.Marshal(man)
+	if err != nil {
+		return nil, err
+	}
+	body = append(body, '\n')
+	doc := &manifestDoc{body: body, etag: `"` + toplist.ContentHash(body) + `"`}
+	if cacheable {
+		doc.src, doc.gen = src, gen
+		s.cached.Store(doc)
+	}
+	return doc, nil
 }
 
 // fingerprintSlots walks every stored slot and condenses (provider,
 // day, hash) triples into a content fingerprint, plus the slot count.
-// The walk is pure map/bitmap probes — no file or network I/O — so
-// rebuilding it per manifest request stays cheap; an archive that
-// changes in any way (slot added, slot repaired to different bytes)
-// yields a different fingerprint and therefore a different manifest
-// ETag.
+// The walk needs no file or network I/O, but it is a lock probe and a
+// date format per slot plus a hash over the whole listing — the bulk of
+// a manifest request's cost — which is why the document is cached per
+// store generation (see manifest). An archive that changes in any way
+// (slot added, slot repaired to different bytes) yields a different
+// fingerprint and therefore a different manifest ETag.
 func fingerprintSlots(sl slotLister, providers []string, first, last toplist.Day) (int, string) {
 	var buf bytes.Buffer
 	count := 0
@@ -267,17 +316,16 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	// the content hash of the encoded document, so it is stable across
 	// server restarts for an unchanged archive. The zero modtime keeps
 	// ServeContent on ETag-only validation — there is no meaningful
-	// Last-Modified for a document rebuilt per request.
-	body, err := json.Marshal(s.Manifest())
+	// Last-Modified for a document derived from live archive state.
+	doc, err := s.manifest()
 	if err != nil {
 		http.Error(w, "encode: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	body = append(body, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("ETag", `"`+toplist.ContentHash(body)+`"`)
-	http.ServeContent(w, r, "manifest.json", time.Time{}, bytes.NewReader(body))
+	w.Header().Set("ETag", doc.etag)
+	http.ServeContent(w, r, "manifest.json", time.Time{}, bytes.NewReader(doc.body))
 }
 
 func (s *Server) handleDays(w http.ResponseWriter, r *http.Request) {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/listserv"
+	servecore "repro/internal/serve"
 	"repro/internal/toplist"
 )
 
@@ -834,6 +835,212 @@ func TestManifestRevalidation(t *testing.T) {
 	// And the steady state re-establishes.
 	if changed, err = rem.Revalidate(ctx); err != nil || changed {
 		t.Fatalf("post-repair steady state: changed=%v err=%v, want false nil", changed, err)
+	}
+
+	// The server reuses one encoded manifest per store generation, so
+	// every mutator that changes a wire field must invalidate it: each
+	// step below moves the generation, and the very next revalidation
+	// must see the change, then settle back to a 304.
+	raw, err := ds.GetRaw("alexa", 1)
+	if err != nil || raw == nil {
+		t.Fatalf("GetRaw(alexa, 1) = %v, %v", raw, err)
+	}
+	for _, step := range []struct {
+		name   string
+		mutate func() error
+	}{
+		{"ExtendTo", func() error { return ds.ExtendTo(2) }},
+		{"SetScale", func() error { return ds.SetScale("relabelled") }},
+		{"PutRaw", func() error { return ds.PutRaw("alexa", 2, raw.Data) }},
+		{"first Put of a new provider", func() error {
+			return ds.Put("majestic", 1, toplist.New([]string{"new-provider.com"}))
+		}},
+	} {
+		gen := ds.Generation()
+		if err := step.mutate(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if ds.Generation() == gen {
+			t.Fatalf("%s did not move the store generation", step.name)
+		}
+		if changed, err := rem.Revalidate(ctx); err != nil || !changed {
+			t.Fatalf("%s: changed=%v err=%v, want true nil", step.name, changed, err)
+		}
+		if changed, err := rem.Revalidate(ctx); err != nil || changed {
+			t.Fatalf("after %s: steady state changed=%v err=%v, want false nil", step.name, changed, err)
+		}
+	}
+	if rem.Days() != 3 || rem.Snapshots() != 5 {
+		t.Fatalf("after the mutations: %d days, %d snapshots; want 3, 5", rem.Days(), rem.Snapshots())
+	}
+	if got := rem.Providers(); len(got) != 3 || got[2] != "majestic" {
+		t.Fatalf("providers after the new provider's first Put = %v", got)
+	}
+}
+
+// getManifest serves one manifest request straight into a recorder and
+// returns its ETag and body.
+func getManifest(t *testing.T, h http.Handler) (string, []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, toplist.RemoteManifestPath(), nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("manifest status %d", rec.Code)
+	}
+	return rec.Header().Get("ETag"), rec.Body.Bytes()
+}
+
+// TestManifestFollowsSwap: the cached manifest belongs to the source it
+// was built from. Swapping a SwappableSource to another store — even
+// one at the same generation — changes the next manifest to exactly
+// what a fresh server over that store publishes, and swapping back
+// restores the first store's document.
+func TestManifestFollowsSwap(t *testing.T) {
+	a, _ := cleanStore(t)
+	b := testStore(t)
+	swap := servecore.NewSwappableSource(a)
+	srv := NewServer(swap)
+	etagA, bodyA := getManifest(t, srv)
+	if again, _ := getManifest(t, srv); again != etagA {
+		t.Fatalf("unchanged store: ETag %q then %q", etagA, again)
+	}
+	swap.Swap(b)
+	etagB, bodyB := getManifest(t, srv)
+	if etagB == etagA {
+		t.Fatal("manifest unchanged after swapping to a different store")
+	}
+	if want, wantBody := getManifest(t, NewServer(b)); etagB != want || !bytes.Equal(bodyB, wantBody) {
+		t.Fatalf("after swap: ETag %q, want %q from a fresh server", etagB, want)
+	}
+	swap.Swap(a)
+	if etag, body := getManifest(t, srv); etag != etagA || !bytes.Equal(body, bodyA) {
+		t.Fatalf("after swapping back: ETag %q, want %q", etag, etagA)
+	}
+}
+
+// TestManifestAfterFailedPut: a Put whose write fails still registers
+// its new provider in memory, and a per-request rebuild served that
+// provider in the next manifest. The cached document must do the same:
+// after the failed Put the server publishes exactly what a fresh server
+// over the same store does.
+func TestManifestAfterFailedPut(t *testing.T) {
+	ds, dir := cleanStore(t)
+	srv := NewServer(ds)
+	before, _ := getManifest(t, srv)
+	// A directory where the write's temp file goes makes the write fail
+	// after the provider is registered.
+	if err := os.MkdirAll(filepath.Join(dir, "majestic", toplist.Day(0).String()+".csv.gz.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Put("majestic", 0, toplist.New([]string{"a.com"})); err == nil {
+		t.Fatal("Put over a blocked temp path succeeded")
+	}
+	etag, body := getManifest(t, srv)
+	if etag == before {
+		t.Fatal("manifest unchanged after a failed Put registered a provider")
+	}
+	if want, wantBody := getManifest(t, NewServer(ds)); etag != want || !bytes.Equal(body, wantBody) {
+		t.Fatalf("after failed Put: ETag %q, fresh server %q", etag, want)
+	}
+}
+
+// TestManifestNeverStaleAfterPut races manifest GETs against Puts. Every
+// Put fills a new slot, so the slot count only grows: a GET that starts
+// after n Puts have returned must report at least n more snapshots than
+// the starting archive, and its ETag must be the hash of the body it
+// came with. Run it under -race.
+func TestManifestNeverStaleAfterPut(t *testing.T) {
+	const days, writers, readers = 40, 2, 4
+	ds, err := toplist.CreateDiskStore(t.TempDir(), 0, days-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ds)
+	var done atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := done.Load()
+				etag, body := getManifest(t, srv)
+				var man toplist.RemoteManifest
+				if err := json.Unmarshal(body, &man); err != nil {
+					t.Errorf("decode manifest: %v", err)
+					return
+				}
+				if int64(man.Snapshots) < n {
+					t.Errorf("GET after %d Puts returned reports %d snapshots", n, man.Snapshots)
+					return
+				}
+				if want := `"` + toplist.ContentHash(body) + `"`; etag != want {
+					t.Errorf("ETag %s does not match its body (%s)", etag, want)
+					return
+				}
+			}
+		}()
+	}
+	var writersWG sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writersWG.Add(1)
+		go func(provider string) {
+			defer writersWG.Done()
+			for d := toplist.Day(0); d < days; d++ {
+				before, _ := getManifest(t, srv)
+				if err := ds.Put(provider, d, toplist.New([]string{fmt.Sprintf("%s-%d.com", provider, d)})); err != nil {
+					t.Errorf("Put: %v", err)
+					return
+				}
+				done.Add(1)
+				if after, _ := getManifest(t, srv); after == before {
+					t.Errorf("%s day %v: manifest ETag %s survived the Put", provider, d, after)
+					return
+				}
+			}
+		}(fmt.Sprintf("p%d", w))
+	}
+	writersWG.Wait()
+	close(stop)
+	wg.Wait()
+	if _, body := getManifest(t, srv); !bytes.Contains(body, []byte(fmt.Sprintf(`"snapshots":%d`, writers*days))) {
+		t.Fatalf("final manifest %s does not report %d snapshots", body, writers*days)
+	}
+}
+
+// TestManifestUncachedSourcesFollowImmediately: a source without a
+// write generation is never served from the cached document, so a
+// gatekept live view's manifest reflects Advance on the very next GET.
+func TestManifestUncachedSourcesFollowImmediately(t *testing.T) {
+	arch := toplist.NewArchive(0, 2)
+	for d := toplist.Day(0); d <= 2; d++ {
+		if err := arch.Put("alexa", d, toplist.New([]string{fmt.Sprintf("d%d.com", d)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gk := listserv.NewGatekeeper(arch, 0)
+	srv := NewServer(gk.View())
+	etag, _ := getManifest(t, srv)
+	for d := toplist.Day(1); d <= 2; d++ {
+		gk.Advance(d)
+		next, body := getManifest(t, srv)
+		if next == etag {
+			t.Fatalf("Advance(%v): manifest ETag unchanged", d)
+		}
+		var man toplist.RemoteManifest
+		if err := json.Unmarshal(body, &man); err != nil {
+			t.Fatal(err)
+		}
+		if man.LastDay != d.String() {
+			t.Fatalf("Advance(%v): manifest last_day %s", d, man.LastDay)
+		}
+		etag = next
 	}
 }
 

@@ -87,6 +87,62 @@ func BenchmarkArchiveServe(b *testing.B) {
 	})
 }
 
+// BenchmarkArchiveManifest is the handler-layer cost of the manifest
+// route — ServeHTTP into a recorder, no socket — over a 300-slot
+// DiskStore (3 providers × 100 days, the size of a published archive
+// mirrors poll). Variants:
+//
+//   - 304: the request carries the current validator, as every
+//     steady-state mirror and collector poll does.
+//   - 200: an unconditional GET returning the whole document.
+func BenchmarkArchiveManifest(b *testing.B) {
+	const days = 100
+	dir := b.TempDir()
+	store, err := toplist.CreateDiskStore(dir, 0, days-1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []string{"alexa", "umbrella", "majestic"} {
+		for d := toplist.Day(0); d < days; d++ {
+			if err := store.Put(p, d, toplist.New([]string{fmt.Sprintf("%s-%d.example.com", p, d)})); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if store, err = toplist.OpenArchive(dir); err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(store)
+	request := func(etag string) *http.Request {
+		req := httptest.NewRequest(http.MethodGet, toplist.RemoteManifestPath(), nil)
+		if etag != "" {
+			req.Header.Set("If-None-Match", etag)
+		}
+		return req
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, request(""))
+	for _, v := range []struct {
+		name   string
+		req    *http.Request
+		status int
+	}{
+		{"304", request(rec.Header().Get("ETag")), http.StatusNotModified},
+		{"200", request(""), http.StatusOK},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, v.req)
+				if rec.Code != v.status {
+					b.Fatalf("status %d, want %d", rec.Code, v.status)
+				}
+			}
+		})
+	}
+}
+
 // benchServer builds a cold-reopened DiskStore (2 providers × 8 days ×
 // 1000 names) and serves it — optionally behind a middleware wrap —
 // and returns the server plus every snapshot URL.

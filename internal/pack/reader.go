@@ -216,6 +216,10 @@ func (p *Pack) Close() error {
 	return nil
 }
 
+// Generation is the write-generation probe DiskStore offers; a pack is
+// immutable, so it is constant.
+func (p *Pack) Generation() uint64 { return 0 }
+
 // Size returns the pack file's length in bytes.
 func (p *Pack) Size() int64 { return p.size }
 

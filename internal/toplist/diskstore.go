@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -80,6 +81,8 @@ type DiskStore struct {
 	last    Day
 	present map[string][]bool // provider -> day-index bitmap
 	cache   map[storeKey]*cacheEntry
+
+	gen atomic.Uint64 // write generation; see Generation
 }
 
 type storeKey struct {
@@ -188,6 +191,16 @@ func OpenArchive(dir string) (*DiskStore, error) {
 	}
 	return ds, nil
 }
+
+// Generation returns the store's write generation: a counter that
+// moves whenever anything the manifest records changes — a slot written
+// or repaired, a provider registered, the range extended, the scale or
+// expected set replaced. State read after observing generation g
+// reflects every write that moved the counter to g, so a consumer that
+// derives a document from the store (archived's wire manifest) can
+// reuse it for as long as the generation it read before building it
+// is still current.
+func (ds *DiskStore) Generation() uint64 { return ds.gen.Load() }
 
 // Dir returns the archive directory.
 func (ds *DiskStore) Dir() string { return ds.dir }
@@ -336,6 +349,9 @@ func (ds *DiskStore) store(provider string, day Day, write func(path string) (st
 	}
 	hash, err := write(ds.path(provider, day))
 	if err != nil {
+		// A provider registered above stays visible without a manifest
+		// flush, so move the generation here instead.
+		ds.gen.Add(1)
 		return err
 	}
 	ds.present[provider][int(day-ds.first)] = true
@@ -771,8 +787,12 @@ func (ds *DiskStore) Timings() map[string]time.Duration {
 
 // flushManifestLocked rewrites manifest.json atomically; callers hold
 // ds.mu. It always writes the current format, so the first write to a
-// reopened version-1 archive upgrades its manifest in place.
+// reopened version-1 archive upgrades its manifest in place. Every
+// mutator flushes, so this is also where the write generation moves —
+// first, so a failed write still invalidates documents derived from
+// the in-memory state it already changed.
 func (ds *DiskStore) flushManifestLocked() error {
+	ds.gen.Add(1)
 	ds.man.Version = manifestVersion
 	raw, err := json.MarshalIndent(ds.man, "", "  ")
 	if err != nil {
