@@ -44,14 +44,14 @@ package archived
 import (
 	"bytes"
 	"compress/gzip"
-	"container/list"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	servecore "repro/internal/serve"
 	"repro/internal/toplist"
 )
@@ -79,16 +79,18 @@ type slotLister interface {
 // Server publishes a toplist.Source over the archive wire API. It
 // implements http.Handler and is safe for concurrent use.
 //
-// Snapshot documents are cached per (provider, day) in a bounded LRU
-// (WithBlobCache) holding the compressed bytes actually sent on the
-// wire. On the raw fast path those are the source's stored bytes,
-// keyed by the content hash the store persisted at Put time: a cache
-// hit is valid exactly as long as the store reports the same hash, so
-// a DiskStore Put repairing a slot (new hash) misses and re-reads
-// instead of serving stale bytes. On the encode fallback they are the
-// re-encoded document, keyed by the *toplist.List pointer it encoded —
-// lists are immutable, so the same reasoning applies with pointer
-// identity in place of the hash. Either way a long-running daemon
+// Snapshot documents are cached per (provider, day) in a bounded
+// single-flight LRU (internal/cache, sized by WithBlobCache) holding
+// the compressed bytes actually sent on the wire, so concurrent cold
+// requests for one snapshot share a single fill. On the raw fast path
+// those are the source's stored bytes, validated by the content hash
+// the store persisted at Put time: a cache hit is valid exactly as
+// long as the store reports the same hash, so a DiskStore Put
+// repairing a slot (new hash) misses and re-reads instead of serving
+// stale bytes. On the encode fallback they are the re-encoded
+// document, validated by the *toplist.List pointer it encoded — lists
+// are immutable, so the same reasoning applies with pointer identity
+// in place of the hash. Either way a long-running daemon
 // serving a large archive holds at most the cache bound, not every
 // blob it ever served.
 type Server struct {
@@ -97,10 +99,8 @@ type Server struct {
 
 	noRaw bool // WithoutRawFastPath
 
-	mu       sync.Mutex
-	blobs    map[blobKey]*blobEntry
-	order    *list.List // LRU: front = most recent; values are blobKey
 	capacity int
+	blobs    *cache.Cache[blobKey, blobVersion, *blobEntry]
 
 	cached atomic.Pointer[manifestDoc] // manifest document; see manifest
 }
@@ -125,22 +125,18 @@ type blobKey struct {
 	day      toplist.Day
 }
 
-// blobEntry is one snapshot's blob slot. The first request for a
-// (provider, day) installs the entry and fills it outside the lock —
-// a raw store read on the fast path, a WriteCSV+gzip pass on the
-// fallback; concurrent requests for the same snapshot wait on ready
-// instead of each re-running the fill — the server-side analog of
-// DiskStore.Get's single-flight decode. Exactly one of list/hash is
-// set, identifying which path filled the entry and what validates a
-// hit (see Server).
+// blobVersion validates a cached blob. Exactly one field is set,
+// naming the path that filled the entry and what a hit must match (see
+// Server).
+type blobVersion struct {
+	hash string        // raw path: the persisted content hash of the bytes
+	list *toplist.List // encode path: the list the bytes encode
+}
+
+// blobEntry is one snapshot document as sent on the wire.
 type blobEntry struct {
-	list  *toplist.List // encode path: the list these bytes encode
-	hash  string        // raw path: the persisted content hash of these bytes
-	ready chan struct{} // closed once data/etag (or err) are final
-	data  []byte
-	etag  string
-	err   error
-	elem  *list.Element
+	data []byte
+	etag string
 }
 
 // Option configures a Server.
@@ -187,15 +183,11 @@ func WithMux(mux *http.ServeMux) Option {
 // implements toplist.RawSource, snapshots are served over the raw fast
 // path automatically.
 func NewServer(src toplist.Source, opts ...Option) *Server {
-	s := &Server{
-		src:      src,
-		blobs:    make(map[blobKey]*blobEntry),
-		order:    list.New(),
-		capacity: 64,
-	}
+	s := &Server{src: src, capacity: 64}
 	for _, o := range opts {
 		o(s)
 	}
+	s.blobs = cache.New[blobKey, blobVersion, *blobEntry](s.capacity)
 	if s.mux == nil {
 		s.mux = http.NewServeMux()
 	}
@@ -436,103 +428,40 @@ var errRawRaced = errors.New("archived: raw read raced a store write")
 // rawBlobFor returns the stored document for (provider, day), reusing
 // the cached copy while the store still reports the same persisted
 // hash (a repairing Put changes the hash, so a stale blob misses and
-// the slot is re-read). Fills are single-flight like encodes; a raw
-// read error — including the store refusing a corrupt slot — is not
-// memoized here (the store memoizes its own verdicts, so re-probes are
-// cheap and a repair is picked up immediately).
+// the slot is re-read). A raw read error — including the store
+// refusing a corrupt slot — is not kept: the store memoizes its own
+// verdicts, so re-probes are cheap and a repair is picked up
+// immediately.
 func (s *Server) rawBlobFor(rs toplist.RawSource, provider string, day toplist.Day, hash string) (*blobEntry, error) {
-	key := blobKey{provider, day}
-	s.mu.Lock()
-	if e, ok := s.blobs[key]; ok && e.hash == hash {
-		s.order.MoveToFront(e.elem)
-		s.mu.Unlock()
-		<-e.ready
-		return e, e.err
-	}
-	e := s.installLocked(key, &blobEntry{hash: hash, ready: make(chan struct{})})
-	s.mu.Unlock()
-
-	raw, err := rs.GetRaw(provider, day)
-	if err == nil && raw == nil {
-		err = errRawRaced
-	}
-	if err != nil {
-		e.err = err
-		s.dropEntry(key, e)
-		close(e.ready)
-		return nil, err
-	}
-	e.data, e.etag = raw.Data, `"`+raw.Hash+`"`
-	close(e.ready)
-	return e, nil
+	return s.blobs.Get(context.Background(), blobKey{provider, day}, blobVersion{hash: hash}, func() (*blobEntry, error) {
+		raw, err := rs.GetRaw(provider, day)
+		if err == nil && raw == nil {
+			err = errRawRaced
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &blobEntry{data: raw.Data, etag: `"` + raw.Hash + `"`}, nil
+	})
 }
 
 // blobFor returns the encoded document for l, reusing the cached
-// encoding when the source still returns the same immutable list.
-// Encodes are single-flight: concurrent cold requests for one snapshot
-// share a single WriteCSV+gzip pass.
+// encoding while the source still returns the same immutable list.
+// Encode failures are not kept: the next request re-encodes (it may
+// well succeed — the list is immutable but memory pressure is not).
 func (s *Server) blobFor(provider string, day toplist.Day, l *toplist.List) (*blobEntry, error) {
-	key := blobKey{provider, day}
-	s.mu.Lock()
-	if e, ok := s.blobs[key]; ok && e.list == l {
-		s.order.MoveToFront(e.elem)
-		s.mu.Unlock()
-		<-e.ready
-		// Encode failures are not memoized; the entry was removed and
-		// the next request re-encodes (it may well succeed — the list
-		// is immutable but memory pressure is not).
-		return e, e.err
-	}
-	e := s.installLocked(key, &blobEntry{list: l, ready: make(chan struct{})})
-	s.mu.Unlock()
-
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	err := toplist.WriteCSV(zw, l)
-	if cerr := zw.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		e.err = err
-		s.dropEntry(key, e)
-		close(e.ready)
-		return nil, err
-	}
-	e.data, e.etag = buf.Bytes(), `"`+toplist.ContentHash(buf.Bytes())+`"`
-	close(e.ready)
-	return e, nil
-}
-
-// installLocked inserts e for key — replacing any stale entry for a
-// since-changed slot — and trims the LRU to capacity; callers hold
-// s.mu and fill the entry outside the lock.
-func (s *Server) installLocked(key blobKey, e *blobEntry) *blobEntry {
-	if old, ok := s.blobs[key]; ok {
-		s.order.Remove(old.elem)
-	}
-	e.elem = s.order.PushFront(key)
-	s.blobs[key] = e
-	for len(s.blobs) > s.capacity {
-		back := s.order.Back()
-		if back == nil {
-			break
+	return s.blobs.Get(context.Background(), blobKey{provider, day}, blobVersion{list: l}, func() (*blobEntry, error) {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		err := toplist.WriteCSV(zw, l)
+		if cerr := zw.Close(); err == nil {
+			err = cerr
 		}
-		evict := back.Value.(blobKey)
-		s.order.Remove(back)
-		delete(s.blobs, evict)
-	}
-	return e
-}
-
-// dropEntry removes e from the cache after a failed fill, if it is
-// still the entry for key (eviction or replacement may have raced).
-func (s *Server) dropEntry(key blobKey, e *blobEntry) {
-	s.mu.Lock()
-	if cur, ok := s.blobs[key]; ok && cur == e {
-		delete(s.blobs, key)
-		s.order.Remove(e.elem)
-	}
-	s.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		return &blobEntry{data: buf.Bytes(), etag: `"` + toplist.ContentHash(buf.Bytes()) + `"`}, nil
+	})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

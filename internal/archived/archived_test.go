@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -278,6 +279,115 @@ func TestRemoteGetSingleFlight(t *testing.T) {
 		if l != results[0] {
 			t.Fatalf("reader %d got a different decoded list (no shared cache entry)", i)
 		}
+	}
+}
+
+// TestRemoteSingleFlightSharesFailure: readers that joined a fetch
+// which exhausted its retry budget get its error instead of each
+// spending a budget of their own — 8 readers against a route that
+// always answers 503 cost one budget of requests, not 8.
+func TestRemoteSingleFlightSharesFailure(t *testing.T) {
+	ds := testStore(t)
+	inner := NewServer(ds)
+	path := toplist.RemoteSnapshotPath("alexa", 0)
+	var hits atomic.Int32
+	gate := make(chan struct{})
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == path {
+			if hits.Add(1) == 1 {
+				<-gate // hold the first attempt until all readers queued
+			}
+			http.Error(w, "down", http.StatusServiceUnavailable)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	})
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	const maxAttempts = 4
+	remote, err := toplist.OpenRemote(context.Background(), ts.URL,
+		toplist.WithRemoteBaseBackoff(10*time.Millisecond),
+		toplist.WithRemoteMaxAttempts(maxAttempts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	errs := make([]error, readers)
+	var wg, started sync.WaitGroup
+	wg.Add(readers)
+	started.Add(readers)
+	for i := 0; i < readers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			started.Done()
+			_, errs[i] = remote.GetContext(context.Background(), "alexa", 0)
+		}(i)
+	}
+	started.Wait()
+	close(gate)
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("reader %d: nil error from an always-503 route", i)
+		}
+	}
+	if n := hits.Load(); n != maxAttempts {
+		t.Fatalf("%d readers made %d requests, want %d (one retry budget)", readers, n, maxAttempts)
+	}
+}
+
+// TestRemoteWaiterOutlivesCancelledFetch: a reader waiting on a fetch
+// whose own caller cancelled it does not inherit that cancellation — it
+// fetches again under its live context and succeeds.
+func TestRemoteWaiterOutlivesCancelledFetch(t *testing.T) {
+	ds := testStore(t)
+	inner := NewServer(ds)
+	path := toplist.RemoteSnapshotPath("alexa", 0)
+	var hits atomic.Int32
+	reached := make(chan struct{})
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == path && hits.Add(1) == 1 {
+			close(reached)
+			<-r.Context().Done() // the first fetch only ends by cancellation
+			return
+		}
+		inner.ServeHTTP(w, r)
+	})
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	remote, err := toplist.OpenRemote(context.Background(), ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		_, err := remote.GetContext(ctx, "alexa", 0)
+		leader <- err
+	}()
+	<-reached // the leader's fetch is in flight
+	type result struct {
+		l   *toplist.List
+		err error
+	}
+	waiter := make(chan result, 1)
+	waiting := make(chan struct{})
+	go func() {
+		close(waiting)
+		l, err := remote.GetContext(context.Background(), "alexa", 0)
+		waiter <- result{l, err}
+	}()
+	<-waiting
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader got %v, want context.Canceled", err)
+	}
+	r := <-waiter
+	if r.err != nil || r.l == nil {
+		t.Fatalf("waiter with a live context: list=%v err=%v, want the snapshot", r.l != nil, r.err)
+	}
+	if n := hits.Load(); n != 2 {
+		t.Fatalf("%d requests, want 2 (the cancelled fetch and the waiter's own)", n)
 	}
 }
 

@@ -28,17 +28,13 @@ func TestBlobCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.mu.Lock()
-	n, olen := len(s.cache), s.order.Len()
-	s.mu.Unlock()
+	n, olen := s.cache.Len(), len(s.cache.Keys())
 	if n != 3 || olen != 3 {
 		t.Fatalf("cache holds %d entries (order %d), want 3", n, olen)
 	}
 	// The most recent days survived; day 0 was evicted.
-	s.mu.Lock()
-	_, hasOld := s.cache[blobKey{"alexa", 0, FormatCSV}]
-	_, hasNew := s.cache[blobKey{"alexa", 9, FormatCSV}]
-	s.mu.Unlock()
+	hasOld := s.cache.Has(blobKey{"alexa", 0, FormatCSV})
+	hasNew := s.cache.Has(blobKey{"alexa", 9, FormatCSV})
 	if hasOld || !hasNew {
 		t.Fatalf("LRU kept the wrong end: day0=%v day9=%v", hasOld, hasNew)
 	}
@@ -57,10 +53,8 @@ func TestBlobCacheLRUTouch(t *testing.T) {
 	get(1)
 	get(0) // touch day 0: day 1 is now the eviction candidate
 	get(2)
-	s.mu.Lock()
-	_, has0 := s.cache[blobKey{"alexa", 0, FormatCSV}]
-	_, has1 := s.cache[blobKey{"alexa", 1, FormatCSV}]
-	s.mu.Unlock()
+	has0 := s.cache.Has(blobKey{"alexa", 0, FormatCSV})
+	has1 := s.cache.Has(blobKey{"alexa", 1, FormatCSV})
 	if !has0 || has1 {
 		t.Fatalf("touch did not refresh recency: day0=%v day1=%v", has0, has1)
 	}
@@ -94,9 +88,7 @@ func TestBlobCacheSingleFlight(t *testing.T) {
 			t.Fatal("concurrent fills produced distinct entries")
 		}
 	}
-	s.mu.Lock()
-	size := len(s.cache)
-	s.mu.Unlock()
+	size := s.cache.Len()
 	if size != 1 {
 		t.Fatalf("cache holds %d entries after single-flight fill, want 1", size)
 	}
@@ -135,9 +127,7 @@ func TestBlobCacheNeverServesStale(t *testing.T) {
 	if after.etag == before.etag {
 		t.Fatal("stale ETag survived the repair")
 	}
-	s.mu.Lock()
-	size := len(s.cache)
-	s.mu.Unlock()
+	size := s.cache.Len()
 	if size != 1 {
 		t.Fatalf("cache holds %d entries for one slot, want 1", size)
 	}

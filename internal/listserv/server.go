@@ -20,7 +20,7 @@ import (
 	"archive/zip"
 	"bytes"
 	"compress/gzip"
-	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/serve"
 	"repro/internal/toplist"
 )
@@ -109,10 +110,8 @@ type Server struct {
 	archive *Gatekeeper
 	mux     *http.ServeMux
 
-	mu       sync.Mutex
-	cache    map[blobKey]*blobEntry
-	order    *list.List // LRU: front = most recent; values are blobKey
 	capacity int
+	cache    *cache.Cache[blobKey, *toplist.List, *blobEntry]
 }
 
 // Gatekeeper mediates read access to an archive source, so a Server
@@ -236,22 +235,10 @@ type blobKey struct {
 	format   Format
 }
 
-type blob struct {
+// blobEntry is one encoded document and its strong ETag.
+type blobEntry struct {
 	data []byte
 	etag string
-}
-
-// blobEntry is one encoded snapshot document slot: filled once outside
-// the lock, waited on by concurrent requests for the same document
-// (single-flight), validated against the immutable list it encodes so
-// a swapped or repaired slot misses instead of serving stale bytes.
-type blobEntry struct {
-	list  *toplist.List // the list these bytes encode — the cache validator
-	ready chan struct{} // closed once data/etag (or err) are final
-	data  []byte
-	etag  string
-	err   error
-	elem  *list.Element
 }
 
 // Option configures a Server.
@@ -290,15 +277,11 @@ func NewServer(archive toplist.Source, opts ...Option) *Server {
 // control day-by-day visibility (see Mirror tests for the live-
 // collection scenario).
 func NewServerAt(g *Gatekeeper, opts ...Option) *Server {
-	s := &Server{
-		archive:  g,
-		cache:    make(map[blobKey]*blobEntry),
-		order:    list.New(),
-		capacity: 256,
-	}
+	s := &Server{archive: g, capacity: 256}
 	for _, o := range opts {
 		o(s)
 	}
+	s.cache = cache.New[blobKey, *toplist.List, *blobEntry](s.capacity)
 	if s.mux == nil {
 		s.mux = http.NewServeMux()
 	}
@@ -372,58 +355,17 @@ func parseFileName(name string) (Format, bool) {
 // blobFor returns the encoded document for l, reusing the cached
 // encoding only while the source still serves the same immutable list
 // for the slot — a hot swap or repairing Put yields a new list, so the
-// stale entry is replaced, never served. Encodes are single-flight:
-// concurrent cold requests for one document share one Encode pass.
+// stale entry is replaced, never served. Encode failures are not kept:
+// the next request encodes again.
 func (s *Server) blobFor(provider string, day toplist.Day, format Format, l *toplist.List) (*blobEntry, error) {
-	key := blobKey{provider, day, format}
-	s.mu.Lock()
-	if e, ok := s.cache[key]; ok && e.list == l {
-		s.order.MoveToFront(e.elem)
-		s.mu.Unlock()
-		<-e.ready
-		// Encode failures are not memoized: the failing entry was
-		// dropped and the next request retries.
-		return e, e.err
-	}
-	e := &blobEntry{list: l, ready: make(chan struct{})}
-	if old, ok := s.cache[key]; ok {
-		s.order.Remove(old.elem)
-	}
-	e.elem = s.order.PushFront(key)
-	s.cache[key] = e
-	for len(s.cache) > s.capacity {
-		back := s.order.Back()
-		if back == nil {
-			break
+	return s.cache.Get(context.Background(), blobKey{provider, day, format}, l, func() (*blobEntry, error) {
+		data, err := Encode(l, format)
+		if err != nil {
+			return nil, err
 		}
-		evict := back.Value.(blobKey)
-		s.order.Remove(back)
-		delete(s.cache, evict)
-	}
-	s.mu.Unlock()
-
-	data, err := Encode(l, format)
-	if err != nil {
-		e.err = err
-		s.dropEntry(key, e)
-		close(e.ready)
-		return nil, err
-	}
-	sum := sha256.Sum256(data)
-	e.data, e.etag = data, `"`+hex.EncodeToString(sum[:16])+`"`
-	close(e.ready)
-	return e, nil
-}
-
-// dropEntry removes e from the cache after a failed fill, if it is
-// still the entry for key (eviction or replacement may have raced).
-func (s *Server) dropEntry(key blobKey, e *blobEntry) {
-	s.mu.Lock()
-	if cur, ok := s.cache[key]; ok && cur == e {
-		delete(s.cache, key)
-		s.order.Remove(e.elem)
-	}
-	s.mu.Unlock()
+		sum := sha256.Sum256(data)
+		return &blobEntry{data: data, etag: `"` + hex.EncodeToString(sum[:16]) + `"`}, nil
+	})
 }
 
 // Encode serialises a list in the given publication format.

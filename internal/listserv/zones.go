@@ -53,14 +53,14 @@ type zoneHost struct {
 	source ZoneSource
 
 	mu    sync.Mutex
-	cache map[string]blob
+	cache map[string]blobEntry
 }
 
 // WithZones enables zone publication on the server. It must be called
 // before the server starts handling requests (i.e. right after
 // NewServer/NewServerAt).
 func (s *Server) WithZones(source ZoneSource) *Server {
-	zh := &zoneHost{source: source, cache: make(map[string]blob)}
+	zh := &zoneHost{source: source, cache: make(map[string]blobEntry)}
 	s.mux.HandleFunc("GET /v1/zones/{file}", zh.handle)
 	return s
 }
@@ -96,7 +96,7 @@ func (zh *zoneHost) published(tld string) bool {
 	return false
 }
 
-func (zh *zoneHost) blobFor(tld string) (blob, error) {
+func (zh *zoneHost) blobFor(tld string) (blobEntry, error) {
 	zh.mu.Lock()
 	defer zh.mu.Unlock()
 	if b, ok := zh.cache[tld]; ok {
@@ -104,10 +104,10 @@ func (zh *zoneHost) blobFor(tld string) (blob, error) {
 	}
 	var buf bytes.Buffer
 	if err := simnet.WriteZone(&buf, tld, zh.source.ZoneDomains(tld), nil); err != nil {
-		return blob{}, err
+		return blobEntry{}, err
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	b := blob{data: buf.Bytes(), etag: `"` + hex.EncodeToString(sum[:16]) + `"`}
+	b := blobEntry{data: buf.Bytes(), etag: `"` + hex.EncodeToString(sum[:16]) + `"`}
 	zh.cache[tld] = b
 	return b, nil
 }

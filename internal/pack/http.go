@@ -1,7 +1,6 @@
 package pack
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/cache"
 )
 
 // This file is the remote blob backend: an io.ReaderAt over HTTP Range
@@ -66,7 +67,6 @@ type httpOptions struct {
 	maxAttempts int
 	baseBackoff time.Duration
 	chunkSize   int64
-	chunkCache  int
 	jitter      func() float64
 	sleep       func(context.Context, time.Duration) error
 }
@@ -77,7 +77,6 @@ func defaultHTTPOptions() httpOptions {
 		maxAttempts: 4,
 		baseBackoff: 250 * time.Millisecond,
 		chunkSize:   128 << 10,
-		chunkCache:  32,
 		jitter:      rand.Float64,
 		sleep: func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
@@ -129,16 +128,6 @@ func WithChunkSize(n int64) Option {
 	}
 }
 
-// WithChunkCache bounds the coalescing chunk LRU to n chunks (default
-// 32).
-func WithChunkCache(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.http.chunkCache = n
-		}
-	}
-}
-
 // HTTPRangeReaderAt reads a remote file through HTTP Range requests —
 // the blob backend that turns any static file server into a pack
 // archive store. It is safe for concurrent ReadAt calls; see the file
@@ -153,20 +142,15 @@ type HTTPRangeReaderAt struct {
 	// per-slot hashes remain the backstop).
 	validator string
 
+	chunks *cache.Cache[int64, struct{}, []byte] // aligned chunk start → bytes
+
 	mu         sync.Mutex
-	chunks     map[int64]*chunkEntry // aligned chunk start → entry
-	order      *list.List            // LRU: front = most recent; values are int64 starts
-	fullBodyOK bool                  // the one-shot 200-tolerance has been spent
+	fullBodyOK bool // the one-shot 200-tolerance has been spent
 }
 
-// chunkEntry is one aligned chunk's fetch slot; fetches are
-// single-flight like every other cache in this codebase.
-type chunkEntry struct {
-	ready chan struct{}
-	data  []byte
-	err   error
-	elem  *list.Element
-}
+// chunkCacheSize bounds the coalescing chunk LRU: at the default chunk
+// size, 4 MiB of the file.
+const chunkCacheSize = 32
 
 // NewHTTPRangeReaderAt probes the file at url (HEAD, falling back to a
 // one-byte range GET for servers that mishandle HEAD), capturing its
@@ -178,8 +162,7 @@ func NewHTTPRangeReaderAt(ctx context.Context, url string, opts ...Option) (*HTT
 		url:    url,
 		ctx:    ctx,
 		opt:    o.http,
-		chunks: make(map[int64]*chunkEntry),
-		order:  list.New(),
+		chunks: cache.New[int64, struct{}, []byte](chunkCacheSize),
 	}
 	if err := h.probe(ctx); err != nil {
 		return nil, err
@@ -318,49 +301,17 @@ func (h *HTTPRangeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // chunk returns the aligned chunk starting at start, fetching it
-// single-flight and caching it in the LRU.
+// single-flight and caching it in the LRU. Fetch failures are not
+// cached: the next reader retries.
 func (h *HTTPRangeReaderAt) chunk(start int64) ([]byte, error) {
-	h.mu.Lock()
-	if e, ok := h.chunks[start]; ok {
-		h.order.MoveToFront(e.elem)
-		h.mu.Unlock()
-		<-e.ready
-		return e.data, e.err
-	}
-	e := &chunkEntry{ready: make(chan struct{})}
-	e.elem = h.order.PushFront(start)
-	h.chunks[start] = e
-	for len(h.chunks) > h.opt.chunkCache {
-		back := h.order.Back()
-		if back == nil {
-			break
+	return h.chunks.Get(context.Background(), start, struct{}{}, func() ([]byte, error) {
+		end := min(start+h.opt.chunkSize, h.size)
+		buf := make([]byte, end-start)
+		if err := h.fetchRange(h.ctx, buf, start); err != nil {
+			return nil, err
 		}
-		evict := back.Value.(int64)
-		h.order.Remove(back)
-		delete(h.chunks, evict)
-	}
-	h.mu.Unlock()
-
-	end := start + h.opt.chunkSize
-	if end > h.size {
-		end = h.size
-	}
-	buf := make([]byte, end-start)
-	e.err = h.fetchRange(h.ctx, buf, start)
-	if e.err != nil {
-		// Fetch failures are never memoized: drop the entry so the
-		// next reader retries.
-		h.mu.Lock()
-		if cur, ok := h.chunks[start]; ok && cur == e {
-			delete(h.chunks, start)
-			h.order.Remove(e.elem)
-		}
-		h.mu.Unlock()
-	} else {
-		e.data = buf
-	}
-	close(e.ready)
-	return e.data, e.err
+		return buf, nil
+	})
 }
 
 // fetchRange fills buf with the bytes at [off, off+len(buf)), retrying

@@ -1,13 +1,14 @@
 package pack
 
 import (
-	"container/list"
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/toplist"
 )
 
@@ -16,7 +17,7 @@ import (
 // io.ReaderAt. Only the central directory is parsed eagerly; snapshot
 // blobs are fetched lazily, every fetched blob is verified against the
 // content hash its directory record carries, and decoded lists are
-// held in a bounded LRU cache with single-flight decodes — concurrent
+// held in a bounded single-flight LRU (internal/cache) — concurrent
 // readers of one uncached slot share a single fetch+gunzip+parse, the
 // DiskStore.Get discipline over a blob.
 //
@@ -41,24 +42,15 @@ type Pack struct {
 	expected  []string
 	slots     map[slotKey]record
 
-	mu       sync.Mutex
-	cache    map[slotKey]*cacheEntry
-	order    *list.List // LRU: front = most recent; values are slotKey
-	capacity int
-	corrupt  map[slotKey]bool // settled hash/decode failures
+	cache *cache.Cache[slotKey, struct{}, *toplist.List]
+
+	mu      sync.Mutex
+	corrupt map[slotKey]bool // settled hash/decode failures
 }
 
 type slotKey struct {
 	provider string
 	day      toplist.Day
-}
-
-// cacheEntry is one slot's decode slot: the first Get installs it and
-// fetches+decodes outside the lock, concurrent readers wait on ready.
-type cacheEntry struct {
-	ready chan struct{}
-	list  *toplist.List // nil until settled; nil after any failure
-	elem  *list.Element
 }
 
 var (
@@ -147,9 +139,7 @@ func Open(r io.ReaderAt, size int64, opts ...Option) (*Pack, error) {
 		providers: dir.Providers,
 		expected:  dir.Expected,
 		slots:     make(map[slotKey]record, len(dir.Snapshots)),
-		cache:     make(map[slotKey]*cacheEntry),
-		order:     list.New(),
-		capacity:  o.decodeCache,
+		cache:     cache.New[slotKey, struct{}, *toplist.List](o.decodeCache),
 		corrupt:   make(map[slotKey]bool),
 	}
 	known := make(map[string]bool, len(dir.Providers))
@@ -266,36 +256,18 @@ func (p *Pack) Snapshots() int { return len(p.slots) }
 func (p *Pack) Get(provider string, day toplist.Day) *toplist.List {
 	key := slotKey{provider, day}
 	rec, ok := p.slots[key]
-	if !ok {
+	if !ok || p.isCorrupt(key) {
 		return nil
 	}
-	p.mu.Lock()
-	if p.corrupt[key] {
-		p.mu.Unlock()
-		return nil
-	}
-	if e, ok := p.cache[key]; ok {
-		p.order.MoveToFront(e.elem)
-		p.mu.Unlock()
-		<-e.ready
-		return e.list
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	e.elem = p.order.PushFront(key)
-	p.cache[key] = e
-	p.evictLocked()
-	p.mu.Unlock()
-
-	l, readErr, corrupt := p.loadSlot(key, rec)
-	if corrupt {
-		p.settleCorrupt(key, e)
-	} else if readErr != nil {
-		// Transient backend failure: uncache so the next reader
-		// retries; waiters on this entry observe nil for this attempt.
-		p.dropEntry(key, e)
-	}
-	e.list = l
-	close(e.ready)
+	// The corrupt verdict lives in p.corrupt, not the cache, so that
+	// eviction cannot forget it.
+	l, _ := p.cache.Get(context.Background(), key, struct{}{}, func() (*toplist.List, error) {
+		l, err, corrupt := p.loadSlot(key, rec)
+		if corrupt {
+			p.markCorrupt(key)
+		}
+		return l, err
+	})
 	return l
 }
 
@@ -327,42 +299,18 @@ func (p *Pack) readBlob(rec record) ([]byte, error) {
 	return data, nil
 }
 
-// settleCorrupt memoizes a hash/decode failure and retires the slot's
-// cache entry (corrupt slots are answered from the corrupt set, not
-// the LRU, so eviction cannot forget the verdict).
-func (p *Pack) settleCorrupt(key slotKey, e *cacheEntry) {
+// isCorrupt reports whether the slot has a memoized corrupt verdict.
+func (p *Pack) isCorrupt(key slotKey) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.corrupt[key]
+}
+
+// markCorrupt memoizes a hash/decode failure for the slot.
+func (p *Pack) markCorrupt(key slotKey) {
 	p.mu.Lock()
 	p.corrupt[key] = true
-	if cur, ok := p.cache[key]; ok && cur == e {
-		delete(p.cache, key)
-		p.order.Remove(e.elem)
-	}
 	p.mu.Unlock()
-}
-
-// dropEntry removes e if it is still installed for key.
-func (p *Pack) dropEntry(key slotKey, e *cacheEntry) {
-	p.mu.Lock()
-	if cur, ok := p.cache[key]; ok && cur == e {
-		delete(p.cache, key)
-		p.order.Remove(e.elem)
-	}
-	p.mu.Unlock()
-}
-
-// evictLocked trims the LRU to capacity; callers hold p.mu. Evicting
-// an in-flight entry is safe: waiters hold the entry pointer and
-// settle against it, the slot just becomes refetchable.
-func (p *Pack) evictLocked() {
-	for len(p.cache) > p.capacity {
-		back := p.order.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(slotKey)
-		p.order.Remove(back)
-		delete(p.cache, key)
-	}
 }
 
 // RawHash returns the content hash the directory records for the
@@ -386,10 +334,7 @@ func (p *Pack) GetRaw(provider string, day toplist.Day) (*toplist.RawSnapshot, e
 	if !ok {
 		return nil, nil
 	}
-	p.mu.Lock()
-	corrupt := p.corrupt[key]
-	p.mu.Unlock()
-	if corrupt {
+	if p.isCorrupt(key) {
 		return nil, fmt.Errorf("pack: %s %v: %w", provider, day, toplist.ErrCorruptSnapshot)
 	}
 	data, err := p.readBlob(rec)
@@ -397,9 +342,7 @@ func (p *Pack) GetRaw(provider string, day toplist.Day) (*toplist.RawSnapshot, e
 		return nil, err
 	}
 	if got := toplist.ContentHash(data); got != rec.Hash {
-		p.mu.Lock()
-		p.corrupt[key] = true
-		p.mu.Unlock()
+		p.markCorrupt(key)
 		return nil, fmt.Errorf("pack: %s %v: stored bytes do not match directory hash: %w", provider, day, toplist.ErrCorruptSnapshot)
 	}
 	return &toplist.RawSnapshot{Data: data, Hash: rec.Hash}, nil
@@ -415,17 +358,12 @@ func (p *Pack) GetRaw(provider string, day toplist.Day) (*toplist.RawSnapshot, e
 // one. Returns the accumulated Corrupt listing.
 func (p *Pack) Verify() ([]toplist.Snapshot, error) {
 	for key, rec := range p.slots {
-		p.mu.Lock()
-		done := p.corrupt[key]
-		p.mu.Unlock()
-		if done {
+		if p.isCorrupt(key) {
 			continue
 		}
 		_, readErr, corrupt := p.loadSlot(key, rec)
 		if corrupt {
-			p.mu.Lock()
-			p.corrupt[key] = true
-			p.mu.Unlock()
+			p.markCorrupt(key)
 			continue
 		}
 		if readErr != nil {

@@ -3,7 +3,6 @@ package toplist
 import (
 	"bytes"
 	"compress/gzip"
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/cache"
 )
 
 // This file defines the archive wire protocol — the versioned
@@ -143,6 +144,9 @@ type Remote struct {
 	jitter      func() float64
 	sleep       func(context.Context, time.Duration) error
 
+	capacity int // WithRemoteCacheSize
+	cache    *cache.Cache[storeKey, struct{}, *remoteEntry]
+
 	mu        sync.Mutex
 	synced    bool   // first manifest fetch folded in
 	manETag   string // ETag of the last manifest fetched (Revalidate sends it back)
@@ -153,18 +157,12 @@ type Remote struct {
 	scale     string
 	providers []string
 	known     map[string]bool
-	cache     map[storeKey]*remoteEntry
-	order     *list.List // LRU: front = most recent; values are storeKey
-	capacity  int
 }
 
-// remoteEntry is one snapshot's fetch slot, the network analog of
-// DiskStore's cacheEntry. The first reader of a key installs the entry
-// and fetches outside the lock; concurrent readers wait on ready. A
-// settled entry holds the compressed wire document (raw == nil
-// memoizes an absent slot); a failed transfer records err and is
-// removed from the cache so the next reader retries instead of
-// inheriting a transient failure.
+// remoteEntry is one fetched snapshot, the value the cache holds: the
+// compressed wire document, or raw == nil memoizing an absent slot.
+// Failed transfers never become entries (the cache keeps no failures),
+// so the next reader retries instead of inheriting a transient one.
 //
 // Decoding is lazy and memoized separately from the fetch: decode()
 // runs gunzip+parse at most once (sync.Once), so the LRU stores
@@ -173,11 +171,8 @@ type Remote struct {
 // decode (Corrupt, Refresh) read; decodeOnce alone orders the fields
 // for decode() callers.
 type remoteEntry struct {
-	ready chan struct{} // closed once the fetch settles
-	elem  *list.Element
-	raw   []byte // compressed wire document; nil memoizes absent (404)
-	hash  string // content hash from the wire ETag ("" when not sent)
-	err   error  // transfer failed; entry was uncached
+	raw  []byte // compressed wire document; nil memoizes absent (404)
+	hash string // content hash from the wire ETag ("" when not sent)
 
 	decodeOnce sync.Once
 	decoded    atomic.Bool
@@ -186,8 +181,7 @@ type remoteEntry struct {
 }
 
 // decode lazily decompresses and parses the entry's document, at most
-// once; callers must have observed ready closed. Returns the decoded
-// list (nil for absent or corrupt slots).
+// once. Returns the decoded list (nil for absent or corrupt slots).
 func (e *remoteEntry) decode() *List {
 	e.decodeOnce.Do(func() {
 		if e.raw != nil {
@@ -285,8 +279,6 @@ func OpenRemote(ctx context.Context, baseURL string, opts ...RemoteOption) (*Rem
 		baseBackoff: 250 * time.Millisecond,
 		jitter:      rand.Float64,
 		known:       make(map[string]bool),
-		cache:       make(map[storeKey]*remoteEntry),
-		order:       list.New(),
 		capacity:    256,
 	}
 	r.sleep = func(ctx context.Context, d time.Duration) error {
@@ -302,6 +294,7 @@ func OpenRemote(ctx context.Context, baseURL string, opts ...RemoteOption) (*Rem
 	for _, o := range opts {
 		o(r)
 	}
+	r.cache = cache.New[storeKey, struct{}, *remoteEntry](r.capacity)
 	if err := r.Refresh(ctx); err != nil {
 		return nil, fmt.Errorf("toplist: open remote %s: %w", baseURL, err)
 	}
@@ -432,16 +425,7 @@ func (r *Remote) revalidate(ctx context.Context, conditional bool) (bool, error)
 	// DiskStore's memoized decode failure. Present snapshots are
 	// immutable and stay cached (decoded or not); in-flight fetches
 	// settle against their own entry either way.
-	for key, e := range r.cache {
-		select {
-		case <-e.ready:
-			if e.raw == nil || (e.decoded.Load() && e.corrupt) {
-				delete(r.cache, key)
-				r.order.Remove(e.elem)
-			}
-		default:
-		}
-	}
+	r.cache.Sweep(func(_ storeKey, e *remoteEntry) bool { return e.remembersNil() })
 	return true, nil
 }
 
@@ -546,82 +530,63 @@ func (r *Remote) GetRawContext(ctx context.Context, provider string, day Day) (*
 	if e == nil || err != nil {
 		return nil, err
 	}
-	if e.raw == nil || (e.decoded.Load() && e.corrupt) {
+	if e.remembersNil() {
 		return nil, nil
 	}
 	return &RawSnapshot{Data: e.raw, Hash: e.hash}, nil
 }
 
-// entryFor returns the settled cache entry for (provider, day),
-// fetching the document if the slot is uncached — the shared
-// single-flight core of GetContext and GetRawContext. A nil entry with
-// nil error means the slot is outside the known range or provider set.
+// entryFor returns the cache entry for (provider, day), fetching the
+// document if the slot is uncached — the shared single-flight core of
+// GetContext and GetRawContext. A nil entry with nil error means the
+// slot is outside the known range or provider set.
+//
+// Readers that joined a fetch which failed get its error: the fetch
+// already spent the retry budget, so fetching again would multiply it
+// by the number of readers. The exception is a fetch cut short by its
+// own caller's context, a failure the other readers do not share —
+// those whose context is still live fetch again with it.
 func (r *Remote) entryFor(ctx context.Context, provider string, day Day) (*remoteEntry, error) {
-	key := storeKey{provider, day}
+	r.mu.Lock()
+	known := day >= r.first && day <= r.last && r.known[provider]
+	r.mu.Unlock()
+	if !known {
+		return nil, nil
+	}
 	for {
-		r.mu.Lock()
-		if day < r.first || day > r.last || !r.known[provider] {
-			r.mu.Unlock()
-			return nil, nil
-		}
-		if e, ok := r.cache[key]; ok {
-			r.order.MoveToFront(e.elem)
-			r.mu.Unlock()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return nil, ctx.Err()
+		e, err := r.cache.Get(ctx, storeKey{provider, day}, struct{}{}, func() (*remoteEntry, error) {
+			raw, hash, err := r.fetchSnapshot(ctx, provider, day)
+			if err != nil {
+				if ctx.Err() != nil {
+					err = &abandonedFetch{err}
+				}
+				return nil, err
 			}
-			if e.err != nil {
-				// The in-flight fetch we piggybacked on failed and was
-				// uncached; fetch with our own context instead of
-				// inheriting a failure we might not share (theirs may
-				// simply have been cancelled).
+			return &remoteEntry{raw: raw, hash: hash}, nil
+		})
+		var ab *abandonedFetch
+		if errors.As(err, &ab) {
+			if ctx.Err() == nil {
 				continue
 			}
-			return e, nil
+			return nil, ab.err
 		}
-		e := &remoteEntry{ready: make(chan struct{})}
-		e.elem = r.order.PushFront(key)
-		r.cache[key] = e
-		r.evictLocked()
-		r.mu.Unlock()
-
-		raw, hash, err := r.fetchSnapshot(ctx, provider, day)
-		if err != nil {
-			e.err = err
-			r.mu.Lock()
-			// Only remove our own entry: a concurrent Put-like Refresh
-			// cannot replace entries, but eviction may already have
-			// dropped it.
-			if cur, ok := r.cache[key]; ok && cur == e {
-				delete(r.cache, key)
-				r.order.Remove(e.elem)
-			}
-			r.mu.Unlock()
-			close(e.ready)
-			return nil, err
-		}
-		e.raw, e.hash = raw, hash
-		close(e.ready)
-		return e, nil
+		return e, err
 	}
 }
 
-// evictLocked trims the LRU cache to capacity; callers hold r.mu.
-// Evicting an in-flight entry is safe: its waiters hold the entry
-// pointer and still complete against it, the slot just becomes
-// refetchable for later readers.
-func (r *Remote) evictLocked() {
-	for len(r.cache) > r.capacity {
-		back := r.order.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(storeKey)
-		r.order.Remove(back)
-		delete(r.cache, key)
-	}
+// abandonedFetch marks a fetch error caused by the fetching reader's
+// own context ending, so readers waiting on that fetch can tell it from
+// a failure they share.
+type abandonedFetch struct{ err error }
+
+func (e *abandonedFetch) Error() string { return e.err.Error() }
+func (e *abandonedFetch) Unwrap() error { return e.err }
+
+// remembersNil reports whether the entry memoizes a nil answer: an
+// absent slot, or a payload a Get has found corrupt.
+func (e *remoteEntry) remembersNil() bool {
+	return e.raw == nil || (e.decoded.Load() && e.corrupt)
 }
 
 // Corrupt returns one stub Snapshot per cached (provider, day) whose
@@ -633,18 +598,15 @@ func (r *Remote) evictLocked() {
 // since decoding is lazy, only slots some Get has actually decoded can
 // appear (an undecoded cached document has not been judged yet).
 func (r *Remote) Corrupt() []Snapshot {
+	var found []storeKey
+	r.cache.Sweep(func(key storeKey, e *remoteEntry) bool {
+		if e.decoded.Load() && e.corrupt {
+			found = append(found, key)
+		}
+		return false
+	})
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var found []storeKey
-	for key, e := range r.cache {
-		select {
-		case <-e.ready:
-			if e.decoded.Load() && e.corrupt {
-				found = append(found, key)
-			}
-		default:
-		}
-	}
 	return corruptSnapshots(found, r.providers)
 }
 
