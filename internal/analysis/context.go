@@ -6,6 +6,8 @@
 package analysis
 
 import (
+	"strings"
+
 	"repro/internal/domainname"
 	"repro/internal/population"
 	"repro/internal/toplist"
@@ -54,13 +56,22 @@ func NewContext(w *population.World, arch toplist.Source) *Context {
 		}
 		c.info[i] = nameInfo{
 			tld:      n.TLD,
-			sldGroup: domainname.SLDGroup(d.Name),
+			sldGroup: sldGroup(n),
 			baseKey:  c.baseKey(base),
 			depth:    uint8(n.Depth),
 			validTLD: n.ValidTLD,
 		}
 	}
 	return c
+}
+
+// sldGroup is domainname.SLDGroup for an already-parsed name, so each
+// world domain is parsed once.
+func sldGroup(n domainname.Name) string {
+	if n.SLD == "blogspot" || strings.HasPrefix(n.PublicSuffix, "blogspot.") {
+		return "blogspot"
+	}
+	return n.SLD
 }
 
 func (c *Context) baseKey(base string) uint32 {

@@ -57,14 +57,24 @@ func Parse(s string) (Name, error) {
 	}
 	out := Name{FQDN: n, Labels: labels, TLD: labels[len(labels)-1]}
 	out.ValidTLD = IsValidTLD(out.TLD)
-	suffixLabels := publicSuffixLabels(labels)
-	out.PublicSuffix = strings.Join(labels[len(labels)-suffixLabels:], ".")
+	suffixLabels := publicSuffixLabels(n, labels)
+	out.PublicSuffix = trailingLabels(n, labels, suffixLabels)
 	if len(labels) > suffixLabels {
-		out.Base = strings.Join(labels[len(labels)-suffixLabels-1:], ".")
+		out.Base = trailingLabels(n, labels, suffixLabels+1)
 		out.SLD = labels[len(labels)-suffixLabels-1]
 		out.Depth = len(labels) - suffixLabels - 1
 	}
 	return out, nil
+}
+
+// trailingLabels returns the last k labels of fqdn as a substring of it
+// (labels is fqdn split at its dots), so no joined copy is allocated.
+func trailingLabels(fqdn string, labels []string, k int) string {
+	off := len(fqdn) + 1
+	for _, l := range labels[len(labels)-k:] {
+		off -= len(l) + 1
+	}
+	return fqdn[off:]
 }
 
 // MustParse is Parse for known-good inputs; it panics on error.

@@ -70,11 +70,15 @@ func init() {
 
 // publicSuffixLabels returns how many trailing labels of labels form the
 // public suffix under the embedded PSL. Per the PSL algorithm, a name
-// with no matching rule has a one-label public suffix (its TLD).
-func publicSuffixLabels(labels []string) int {
+// with no matching rule has a one-label public suffix (its TLD). labels
+// is fqdn split at its dots; every candidate suffix is looked up as a
+// substring of fqdn, which allocates nothing.
+func publicSuffixLabels(fqdn string, labels []string) int {
 	best := 1
-	for i := 0; i < len(labels); i++ {
-		candidate := strings.Join(labels[i:], ".")
+	off := 0
+	for i, l := range labels {
+		candidate := fqdn[off:]
+		off += len(l) + 1
 		n := len(labels) - i
 		if pslExcept[candidate] {
 			// An exception rule makes the matched name registrable: its
@@ -84,12 +88,9 @@ func publicSuffixLabels(labels []string) int {
 		if pslExact[candidate] && n > best {
 			best = n
 		}
-		if i > 0 {
-			parent := strings.Join(labels[i:], ".")
-			if pslWildcard[parent] && n+1 > best && i >= 1 {
-				// "*.parent" matched by labels[i-1:].
-				best = n + 1
-			}
+		if i > 0 && pslWildcard[candidate] && n+1 > best {
+			// "*.candidate" matched by labels[i-1:].
+			best = n + 1
 		}
 	}
 	if best > len(labels) {

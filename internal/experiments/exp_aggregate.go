@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/aggregate"
+	"repro/internal/domainname"
 	"repro/internal/toplist"
 )
 
@@ -30,13 +31,15 @@ func runAggregation(e *Env) (*Result, error) {
 	if start < 0 {
 		start = 0
 	}
-	// Pre-normalise every needed snapshot once.
+	// Pre-normalise every needed snapshot once, parsing each distinct
+	// name once across all of them.
 	type daySet struct{ lists []*toplist.List }
 	var days []daySet
+	bases := make(map[string]string)
 	for d := start; d < st.Days(); d++ {
 		var lists []*toplist.List
 		for _, p := range st.Providers() {
-			lists = append(lists, st.Archive.Get(p, toplist.Day(d)).BaseDomains())
+			lists = append(lists, baseDomains(st.Archive.Get(p, toplist.Day(d)), bases))
 		}
 		days = append(days, daySet{lists})
 	}
@@ -72,4 +75,25 @@ func runAggregation(e *Env) (*Result, error) {
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf("evaluated over the final %d days", evalDays))
 	return res, nil
+}
+
+// baseDomains is l.BaseDomains() with each name's base domain looked up
+// in bases (name → domainname.BaseOf), which it fills as it goes.
+func baseDomains(l *toplist.List, bases map[string]string) *toplist.List {
+	seen := make(map[string]struct{}, l.Len())
+	var out []string
+	for r := 1; r <= l.Len(); r++ {
+		n := l.Name(r)
+		b, ok := bases[n]
+		if !ok {
+			b = domainname.BaseOf(n)
+			bases[n] = b
+		}
+		if _, ok := seen[b]; ok {
+			continue
+		}
+		seen[b] = struct{}{}
+		out = append(out, b)
+	}
+	return toplist.New(out)
 }

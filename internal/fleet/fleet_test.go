@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -395,5 +398,71 @@ func TestLoopsRunAndStop(t *testing.T) {
 	}
 	if got := m.Copied(); got != 2 {
 		t.Fatalf("copied = %d, want 2", got)
+	}
+}
+
+// TestMirrorRefusesEscapingProvider: a peer whose manifest lists the
+// provider "../escaped" (and serves bytes for it) gets nothing written
+// outside the mirror's directory, while its well-named providers are
+// still copied.
+func TestMirrorRefusesEscapingProvider(t *testing.T) {
+	const evil = "../escaped"
+	src := seedStore(t, []string{"alexa", "umbrella"}, 3)
+	inner := archived.NewServer(src)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == toplist.RemoteManifestPath():
+			rec := httptest.NewRecorder()
+			inner.ServeHTTP(rec, r)
+			var man toplist.RemoteManifest
+			if err := json.Unmarshal(rec.Body.Bytes(), &man); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			man.Providers = append(man.Providers, evil)
+			man.Content = ""
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(man)
+		case strings.Contains(r.URL.Path, evil):
+			// Serve alexa's valid bytes under the evil name.
+			r2 := r.Clone(r.Context())
+			r2.URL.Path = toplist.RemoteAPIPrefix + "/snapshots/alexa/" + path.Base(r.URL.Path)
+			r2.URL.RawPath = ""
+			inner.ServeHTTP(w, r2)
+		default:
+			inner.ServeHTTP(w, r)
+		}
+	}))
+	t.Cleanup(peer.Close)
+
+	root := t.TempDir()
+	dir := filepath.Join(root, "node")
+	ps := testPeerSet(t, peer.URL)
+	store, err := Bootstrap(context.Background(), dir, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewMirror(store, ps).SyncOnce(context.Background())
+
+	for _, p := range []string{"alexa", "umbrella"} {
+		for d := src.First(); d <= src.Last(); d++ {
+			if got, want := store.RawHash(p, d), src.RawHash(p, d); got != want {
+				t.Fatalf("slot %s %s: hash %q, want %q", p, d, got, want)
+			}
+		}
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "node" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("mirror wrote beside its directory: %q", names)
+	}
+	if _, err := toplist.OpenArchive(dir); err != nil {
+		t.Fatalf("mirror archive does not reopen: %v", err)
 	}
 }

@@ -9,6 +9,10 @@
 // StabilityImpact quantifies how much cleaning plus presence
 // requirements reduce day-to-day churn — the empirical backing for the
 // paper's "consider stability" recommendation.
+//
+// A filter must be a pure function of the name: the same name gets the
+// same verdict whatever list, rank or day it appears on.
+// StabilityImpact relies on this to evaluate each distinct name once.
 package hygiene
 
 import (
@@ -20,8 +24,8 @@ import (
 	"repro/internal/toplist"
 )
 
-// Filter decides whether a listed name is kept. Filters must be
-// stateless with respect to list order.
+// Filter decides whether a listed name is kept. Keep must be a pure
+// function of the name (see the package documentation).
 type Filter interface {
 	// Name identifies the filter in reports.
 	Name() string
@@ -163,6 +167,16 @@ func (p *Pipeline) Apply(l *toplist.List) (*toplist.List, Report) {
 	}
 	rep.Output = len(names)
 	return toplist.New(names), rep
+}
+
+// keep reports whether name survives every filter of the pipeline.
+func (p *Pipeline) keep(name string) bool {
+	for _, f := range p.filters {
+		if !f.Keep(name) {
+			return false
+		}
+	}
+	return true
 }
 
 // ApplyTop filters the list and cuts the result to size — the "clean

@@ -8,7 +8,10 @@
 // internal/archived).
 package toplist
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Epoch is day 0 of the simulated JOINT period. The paper's JOINT
 // dataset starts 2017-06-06 (a Tuesday); we anchor to the same date so
@@ -36,11 +39,17 @@ func (d Day) String() string { return d.Date().Format("2006-01-02") }
 
 // ParseDay parses an ISO date ("2017-06-06") into a Day relative to
 // Epoch. Dates before Epoch yield negative days, which callers treat as
-// out of archive range.
+// out of archive range. Dates more than about 292 years from Epoch are
+// rejected: time.Time.Sub saturates there, so they have no Day that
+// formats back to the same date.
 func ParseDay(s string) (Day, error) {
 	t, err := time.Parse("2006-01-02", s)
 	if err != nil {
 		return 0, err
 	}
-	return Day(t.Sub(Epoch) / (24 * time.Hour)), nil
+	d := Day(t.Sub(Epoch) / (24 * time.Hour))
+	if !d.Date().Equal(t) {
+		return 0, fmt.Errorf("toplist: date %s out of range", s)
+	}
+	return d, nil
 }

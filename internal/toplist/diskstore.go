@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -33,6 +34,21 @@ const manifestVersion = 2
 // until rewritten (GetRaw returns nil without a persisted hash), and
 // the first manifest flush upgrades the document in place.
 const manifestVersionNoHashes = 1
+
+// ErrBadProvider reports a provider name that is not one local path
+// element (empty, ".", "..", or containing a slash or backslash): a
+// DiskStore keeps each provider in a directory of that name, so such a
+// name would read or write outside the archive.
+var ErrBadProvider = errors.New("toplist: bad provider name")
+
+// checkProvider returns an error wrapping ErrBadProvider unless name
+// can be a provider directory inside the archive.
+func checkProvider(name string) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
+		return fmt.Errorf("%w %q", ErrBadProvider, name)
+	}
+	return nil
+}
 
 // manifest is the JSON document at <dir>/manifest.json describing a
 // DiskStore: what scale produced it, the day range it covers, and the
@@ -79,7 +95,7 @@ type DiskStore struct {
 	man     manifest
 	first   Day
 	last    Day
-	present map[string][]bool // provider -> day-index bitmap
+	present map[string][]bool // provider -> day-index bitmap; see markLocked
 	cache   map[storeKey]*cacheEntry
 
 	gen atomic.Uint64 // write generation; see Generation
@@ -171,7 +187,13 @@ func OpenArchive(dir string) (*DiskStore, error) {
 		cache:   make(map[storeKey]*cacheEntry),
 	}
 	for _, p := range man.Providers {
-		bitmap := make([]bool, ds.daysLocked())
+		if err := checkProvider(p); err != nil {
+			return nil, fmt.Errorf("toplist: archive %s: %w", dir, err)
+		}
+		if _, dup := ds.present[p]; dup {
+			return nil, fmt.Errorf("toplist: archive %s: provider %q listed twice", dir, p)
+		}
+		ds.present[p] = nil
 		entries, err := os.ReadDir(filepath.Join(dir, p))
 		if err != nil && !os.IsNotExist(err) {
 			return nil, err
@@ -185,9 +207,8 @@ func OpenArchive(dir string) (*DiskStore, error) {
 			if err != nil || d < first || d > last {
 				continue
 			}
-			bitmap[int(d-first)] = true
+			ds.markLocked(p, d)
 		}
-		ds.present[p] = bitmap
 	}
 	return ds, nil
 }
@@ -260,10 +281,6 @@ func (ds *DiskStore) ExtendTo(last Day) error {
 	if last <= ds.last {
 		return nil
 	}
-	grow := int(last - ds.last)
-	for p, bitmap := range ds.present {
-		ds.present[p] = append(bitmap, make([]bool, grow)...)
-	}
 	ds.last = last
 	ds.man.LastDay = last.String()
 	return ds.flushManifestLocked()
@@ -293,11 +310,28 @@ func (ds *DiskStore) Expected() []string {
 func (ds *DiskStore) Has(provider string, day Day) bool {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	if day < ds.first || day > ds.last {
-		return false
+	return ds.hasLocked(provider, day)
+}
+
+// hasLocked is Has for callers holding ds.mu.
+func (ds *DiskStore) hasLocked(provider string, day Day) bool {
+	i := int(day - ds.first)
+	bitmap := ds.present[provider]
+	return i >= 0 && i < len(bitmap) && bitmap[i]
+}
+
+// markLocked records the slot as written; callers hold ds.mu and have
+// checked that day is in range. A bitmap reaches only as far as the
+// provider's latest written day, so its size follows the slots on disk,
+// not the manifest's day range.
+func (ds *DiskStore) markLocked(provider string, day Day) {
+	i := int(day - ds.first)
+	bitmap := ds.present[provider]
+	if i >= len(bitmap) {
+		bitmap = append(bitmap, make([]bool, i+1-len(bitmap))...)
 	}
-	bitmap, ok := ds.present[provider]
-	return ok && bitmap[int(day-ds.first)]
+	bitmap[i] = true
+	ds.present[provider] = bitmap
 }
 
 func (ds *DiskStore) path(provider string, day Day) string {
@@ -335,6 +369,9 @@ func (ds *DiskStore) PutRaw(provider string, day Day, data []byte) error {
 // the bytes it put on disk), presence and hash bookkeeping, and cache
 // invalidation — all under the store lock.
 func (ds *DiskStore) store(provider string, day Day, write func(path string) (string, error)) error {
+	if err := checkProvider(provider); err != nil {
+		return err
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if day < ds.first || day > ds.last {
@@ -344,7 +381,7 @@ func (ds *DiskStore) store(provider string, day Day, write func(path string) (st
 		if err := os.MkdirAll(filepath.Join(ds.dir, provider), 0o755); err != nil {
 			return err
 		}
-		ds.present[provider] = make([]bool, ds.daysLocked())
+		ds.present[provider] = nil
 		ds.man.Providers = append(ds.man.Providers, provider)
 	}
 	hash, err := write(ds.path(provider, day))
@@ -354,7 +391,7 @@ func (ds *DiskStore) store(provider string, day Day, write func(path string) (st
 		ds.gen.Add(1)
 		return err
 	}
-	ds.present[provider][int(day-ds.first)] = true
+	ds.markLocked(provider, day)
 	if ds.man.Hashes == nil {
 		ds.man.Hashes = make(map[string]map[string]string)
 	}
@@ -435,12 +472,7 @@ func writeFileAtomic(path string, data []byte) error {
 func (ds *DiskStore) Get(provider string, day Day) *List {
 	key := storeKey{provider, day}
 	ds.mu.RLock()
-	if day < ds.first || day > ds.last {
-		ds.mu.RUnlock()
-		return nil
-	}
-	bitmap, ok := ds.present[provider]
-	if !ok || !bitmap[int(day-ds.first)] {
+	if !ds.hasLocked(provider, day) {
 		ds.mu.RUnlock()
 		return nil
 	}
@@ -490,11 +522,7 @@ func (ds *DiskStore) readSnapshot(path string) (*List, error) {
 func (ds *DiskStore) RawHash(provider string, day Day) string {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	if day < ds.first || day > ds.last {
-		return ""
-	}
-	bitmap, ok := ds.present[provider]
-	if !ok || !bitmap[int(day-ds.first)] {
+	if !ds.hasLocked(provider, day) {
 		return ""
 	}
 	return ds.man.Hashes[provider][day.String()]
@@ -515,12 +543,7 @@ func (ds *DiskStore) RawHash(provider string, day Day) string {
 func (ds *DiskStore) GetRaw(provider string, day Day) (*RawSnapshot, error) {
 	key := storeKey{provider, day}
 	ds.mu.RLock()
-	if day < ds.first || day > ds.last {
-		ds.mu.RUnlock()
-		return nil, nil
-	}
-	bitmap, ok := ds.present[provider]
-	if !ok || !bitmap[int(day-ds.first)] {
+	if !ds.hasLocked(provider, day) {
 		ds.mu.RUnlock()
 		return nil, nil
 	}
@@ -691,16 +714,9 @@ func (ds *DiskStore) missingLocked() []Snapshot {
 	var out []Snapshot
 	seen := make(map[string]bool, len(ds.man.Expected))
 	scan := func(p string) {
-		bitmap := ds.present[p]
-		if bitmap == nil {
-			for d := ds.first; d <= ds.last; d++ {
+		for d := ds.first; d <= ds.last; d++ {
+			if !ds.hasLocked(p, d) {
 				out = append(out, Snapshot{Provider: p, Day: d})
-			}
-			return
-		}
-		for i, ok := range bitmap {
-			if !ok {
-				out = append(out, Snapshot{Provider: p, Day: ds.first + Day(i)})
 			}
 		}
 	}
